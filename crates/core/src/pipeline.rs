@@ -187,7 +187,7 @@ impl LevelSchedule {
         estimator: &ScalabilityEstimator,
         num_devices: u32,
         epsilon: f64,
-        cache: Option<&StructuralPlanCache>,
+        mut cache: Option<&mut StructuralPlanCache>,
     ) -> Self {
         let metagraph = contracted.metagraph();
         let arena = MetaOpArena::build(metagraph, curves);
@@ -203,10 +203,12 @@ impl LevelSchedule {
         // memoise per (metaop, devices) to avoid re-running the model sweep.
         let mut memo: Vec<Vec<(u32, u64)>> = vec![Vec::new(); arena.len()];
         for level in metagraph.levels() {
-            let key = cache.map(|_| LevelKey::of(metagraph, level, num_devices));
+            let key = cache
+                .is_some()
+                .then(|| LevelKey::of(metagraph, level, num_devices));
             if let Some(artifact) = key
                 .as_ref()
-                .and_then(|k| cache.expect("key implies cache").level(k))
+                .and_then(|k| cache.as_mut().expect("key implies cache").level(k))
             {
                 now = artifact.splice(level, now, waves.len(), &mut waves);
                 theoretical_optimum += artifact.optimal_time();
@@ -247,7 +249,7 @@ impl LevelSchedule {
                     entry.memory_per_device = per_op.saturating_mul(u64::from(entry.layers));
                 }
             }
-            if let (Some(c), Some(k)) = (cache, key) {
+            if let (Some(c), Some(k)) = (cache.as_mut(), key) {
                 c.insert_level(
                     k,
                     LevelArtifact::capture(level, solution.optimal_time, &level_waves),

@@ -26,7 +26,6 @@ type PhasePlan = (
     StructuralReuse,
     TopologyImpact,
 );
-type PhaseResult = Result<PhasePlan, PlanError>;
 
 /// What a topology change cost one re-plan: how many devices the session lost
 /// relative to the placement being reused, how much of the plan had to be
@@ -561,94 +560,15 @@ impl SpindleSession {
         })
     }
 
-    /// Plans several independent phase graphs concurrently, one scoped worker
-    /// thread per phase, all sharing this session's curve cache (phase
-    /// workers that hit signatures another phase already fitted serve them
-    /// straight from the cache's read path).
-    ///
-    /// This is the re-planning fast path for dynamic schedules (Appendix D /
-    /// Fig. 13): the task mix of every phase is known up front, so the phases
-    /// can be planned in parallel instead of one after another. Plans are
-    /// returned in the order of `graphs`, and the produced plans are
-    /// identical to sequential [`plan`](Self::plan) calls.
-    ///
-    /// The worker count is capped at the machine's available parallelism
-    /// (phases are striped across workers); when only one hardware thread is
-    /// available — or only one phase was passed — planning runs inline, since
-    /// a spawned thread would add scheduling overhead without concurrency.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError::EmptyCluster`] for clusters without devices and
-    /// the first phase's [`PlanError::NoCurve`] if an operator cannot be
-    /// profiled. Plans of phases that succeeded before the failing one are
-    /// discarded, but their fitted curves stay in the session cache.
-    pub fn plan_phases_parallel(
-        &mut self,
-        graphs: &[&ComputationGraph],
-    ) -> Result<Vec<ExecutionPlan>, PlanError> {
-        if self.cluster.num_devices() == 0 {
-            return Err(PlanError::EmptyCluster);
-        }
-        let workers = std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(graphs.len());
-        let results: Vec<PhaseResult> = if workers <= 1 {
-            graphs.iter().map(|graph| self.plan_shared(graph)).collect()
-        } else {
-            let shared: &Self = self;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            graphs
-                                .iter()
-                                .enumerate()
-                                .skip(w)
-                                .step_by(workers)
-                                .map(|(i, graph)| (i, shared.plan_shared(graph)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                let mut slots: Vec<Option<PhaseResult>> = (0..graphs.len()).map(|_| None).collect();
-                for handle in handles {
-                    for (i, result) in handle.join().expect("phase planning worker panicked") {
-                        slots[i] = Some(result);
-                    }
-                }
-                slots
-                    .into_iter()
-                    .map(|slot| slot.expect("striped workers cover every phase"))
-                    .collect()
-            })
-        };
-        // Surface any failure before touching the session counters: a failed
-        // pass must not leave `plans_produced`/`planning_stats` accounting
-        // for plans the caller never received.
-        let mut produced = Vec::with_capacity(results.len());
-        for result in results {
-            produced.push(result?);
-        }
-        let mut plans = Vec::with_capacity(produced.len());
-        for (plan, stats, _reuse, _impact) in produced {
-            self.stats.merge(&stats);
-            self.plans_produced += 1;
-            plans.push(plan);
-        }
-        Ok(plans)
-    }
-
-    /// One full pipeline pass against `&self` only — shared by the
-    /// sequential, re-planning and phase-parallel entry points. Consults the
-    /// structural plan cache (when enabled): a whole-plan hit skips stages 3
-    /// and 4 entirely, per-level hits splice cached schedule fragments, and
-    /// misses solve fresh and feed the cache for the next re-plan.
-    fn plan_shared(&self, graph: &ComputationGraph) -> Result<PhasePlan, PlanError> {
+    /// One full pipeline pass — shared by the planning and re-planning entry
+    /// points. Consults the structural plan cache (when enabled): a
+    /// whole-plan hit skips stages 3 and 4 entirely, per-level hits splice
+    /// cached schedule fragments, and misses solve fresh and feed the cache
+    /// for the next re-plan.
+    fn plan_shared(&mut self, graph: &ComputationGraph) -> Result<PhasePlan, PlanError> {
         let started = Instant::now();
         // Apply the configured byte budgets before the pass touches either
-        // cache (both calls are one relaxed load when unchanged), so
-        // `config_mut` edits take effect on the very next plan.
+        // cache, so `config_mut` edits take effect on the very next plan.
         self.estimator
             .ensure_cache_budget(self.config.curve_cache_budget);
         self.structural
@@ -657,21 +577,16 @@ impl SpindleSession {
         let curves = self.resolve_curves(&contracted)?;
         let num_devices = self.cluster.num_devices() as u32;
         let device_space = self.cluster.device_space() as u32;
-        let cache = if self.config.structural_cache {
+        let use_cache = self.config.structural_cache;
+        if use_cache {
             self.structural
                 .ensure_epsilon(self.config.bisection_epsilon);
-            Some(&self.structural)
-        } else {
-            None
-        };
-        let plan_key = cache.map(|_| {
+        }
+        let plan_key = use_cache.then(|| {
             let (n, missing) = Self::device_set_signature(&self.cluster);
             PlanKey::with_device_set(contracted.metagraph(), n, missing, self.config.placement)
         });
-        if let Some(skeleton) = plan_key
-            .as_ref()
-            .and_then(|k| cache.expect("key implies cache").skeleton(k))
-        {
+        if let Some(skeleton) = plan_key.as_ref().and_then(|k| self.structural.skeleton(k)) {
             // Whole-plan structural hit: clone the placed waves and attach
             // the freshly contracted MetaGraph. Bit-identical to the full
             // pipeline by construction of `PlanKey`.
@@ -699,7 +614,7 @@ impl SpindleSession {
         // since this structure was last placed, salvage the clean prefix of
         // levels from the pre-churn skeleton instead of re-placing everything.
         let mut impact = TopologyImpact::default();
-        if let (Some(c), Some((prev_n, prev_missing))) = (cache, self.prev_topology.as_ref()) {
+        if let Some((prev_n, prev_missing)) = self.prev_topology.as_ref().filter(|_| use_cache) {
             if *prev_n > num_devices && self.config.placement == PlacementStrategy::Locality {
                 impact.devices_lost = (*prev_n - num_devices) as usize;
                 let prev_key = PlanKey::with_device_set(
@@ -708,9 +623,9 @@ impl SpindleSession {
                     prev_missing.clone(),
                     self.config.placement,
                 );
-                if let Some(old) = c.skeleton(&prev_key) {
+                if let Some(old) = self.structural.skeleton(&prev_key) {
                     if let Some(result) =
-                        self.replan_after_loss(&contracted, &curves, &old, c, impact, started)?
+                        self.replan_after_loss(&contracted, &curves, &old, impact, started)?
                     {
                         return Ok(result);
                     }
@@ -728,7 +643,7 @@ impl SpindleSession {
             &self.estimator,
             num_devices,
             self.config.bisection_epsilon,
-            cache,
+            use_cache.then_some(&mut self.structural),
         );
         let stats = schedule.stats();
         let reuse = StructuralReuse {
@@ -743,8 +658,8 @@ impl SpindleSession {
             started.elapsed(),
         )?;
         plan.set_planning_time(started.elapsed());
-        if let (Some(c), Some(key)) = (cache, plan_key) {
-            c.insert_skeleton(
+        if let Some(key) = plan_key {
+            self.structural.insert_skeleton(
                 key,
                 PlacedSkeleton {
                     waves: plan.waves().to_vec(),
@@ -765,11 +680,10 @@ impl SpindleSession {
     /// skeleton cannot seed a resume (no usable checkpoints) — the caller
     /// falls back to a full re-plan.
     fn replan_after_loss(
-        &self,
+        &mut self,
         contracted: &ContractedGraph,
         curves: &CurveSet,
         old: &PlacedSkeleton,
-        cache: &StructuralPlanCache,
         mut impact: TopologyImpact,
         started: Instant,
     ) -> Result<Option<PhasePlan>, PlanError> {
@@ -814,7 +728,7 @@ impl SpindleSession {
                 started.elapsed(),
             );
             plan.set_device_space(device_space as u32);
-            cache.insert_skeleton(
+            self.structural.insert_skeleton(
                 new_key,
                 PlacedSkeleton {
                     waves: old.waves.clone(),
@@ -863,7 +777,7 @@ impl SpindleSession {
             &self.estimator,
             num_devices,
             self.config.bisection_epsilon,
-            Some(cache),
+            Some(&mut self.structural),
         );
         let stats = schedule.stats();
         let (new_waves, new_optimum) = schedule.into_parts();
@@ -949,7 +863,7 @@ impl SpindleSession {
         }
         let mut checkpoints = old.checkpoints[..clean_prefix].to_vec();
         checkpoints.extend(suffix_checkpoints);
-        cache.insert_skeleton(
+        self.structural.insert_skeleton(
             new_key,
             PlacedSkeleton {
                 waves: plan.waves().to_vec(),
@@ -1131,63 +1045,6 @@ mod tests {
         let direct = session.theoretical_optimum(&graph).unwrap();
         let plan = session.plan(&graph).unwrap();
         assert!((direct - plan.theoretical_optimum()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_phase_planning_matches_sequential() {
-        let schedule_graphs = [workload(), workload()];
-        let extra = {
-            // A third, different phase so the parallel pass mixes cached and
-            // fresh signatures.
-            let mut b = GraphBuilder::new();
-            let t = b.add_task("solo", [Modality::Depth, Modality::Text], 16);
-            let tower = b
-                .add_op_chain(
-                    t,
-                    OpKind::Encoder(Modality::Depth),
-                    TensorShape::new(16, 99, 512),
-                    8,
-                )
-                .unwrap();
-            let loss = b
-                .add_op(t, OpKind::ContrastiveLoss, TensorShape::new(16, 1, 512))
-                .unwrap();
-            b.add_flow(*tower.last().unwrap(), loss).unwrap();
-            b.build().unwrap()
-        };
-        let graphs: Vec<&ComputationGraph> = vec![&schedule_graphs[0], &schedule_graphs[1], &extra];
-
-        let mut sequential = SpindleSession::new(ClusterSpec::homogeneous(2, 8));
-        let expected: Vec<_> = graphs.iter().map(|g| sequential.plan(g).unwrap()).collect();
-
-        let mut parallel = SpindleSession::new(ClusterSpec::homogeneous(2, 8));
-        let got = parallel.plan_phases_parallel(&graphs).unwrap();
-        assert_eq!(got.len(), expected.len());
-        for (p, e) in got.iter().zip(&expected) {
-            assert_eq!(p.waves(), e.waves());
-            assert!((p.theoretical_optimum() - e.theoretical_optimum()).abs() < 1e-12);
-        }
-        assert_eq!(parallel.plans_produced(), 3);
-        assert_eq!(
-            parallel.planning_stats().waves_crafted,
-            sequential.planning_stats().waves_crafted
-        );
-        // The shared cache never fits one signature twice, even when phases
-        // race on it.
-        assert_eq!(parallel.curve_fits(), parallel.cached_curves());
-    }
-
-    #[test]
-    fn parallel_phase_planning_on_warm_session_performs_no_fits() {
-        let graph = workload();
-        let mut session = SpindleSession::new(ClusterSpec::homogeneous(1, 8));
-        session.plan(&graph).unwrap();
-        let fits = session.curve_fits();
-        let graphs = vec![&graph, &graph, &graph, &graph];
-        let plans = session.plan_phases_parallel(&graphs).unwrap();
-        assert_eq!(plans.len(), 4);
-        assert_eq!(session.curve_fits(), fits, "warm phases must not re-fit");
-        assert_eq!(session.plans_produced(), 5);
     }
 
     #[test]
@@ -1417,5 +1274,67 @@ mod tests {
         let mut b = SpindleSession::with_estimator(cluster, estimator, PlannerConfig::default());
         b.plan(&graph).unwrap();
         assert_eq!(b.curve_fits(), fits, "second session reuses pooled curves");
+    }
+
+    #[test]
+    fn sessions_sharing_an_estimator_across_threads_fit_each_signature_once() {
+        let solo = {
+            let mut b = GraphBuilder::new();
+            let t = b.add_task("solo", [Modality::Depth, Modality::Text], 16);
+            let tower = b
+                .add_op_chain(
+                    t,
+                    OpKind::Encoder(Modality::Depth),
+                    TensorShape::new(16, 99, 512),
+                    8,
+                )
+                .unwrap();
+            let loss = b
+                .add_op(t, OpKind::ContrastiveLoss, TensorShape::new(16, 1, 512))
+                .unwrap();
+            b.add_flow(*tower.last().unwrap(), loss).unwrap();
+            b.build().unwrap()
+        };
+        let graphs = [workload(), solo];
+        let cluster = Arc::new(ClusterSpec::homogeneous(2, 8));
+        let mut sequential = SpindleSession::new(Arc::clone(&cluster));
+        let expected: Vec<Vec<Wave>> = graphs
+            .iter()
+            .map(|g| sequential.plan(g).unwrap().waves().to_vec())
+            .collect();
+
+        // Two threads, released together, plan the same graphs in the same
+        // order through two sessions pooling one estimator, so both race to
+        // fit every signature.
+        let estimator = Arc::new(ScalabilityEstimator::new(&cluster));
+        let barrier = std::sync::Barrier::new(2);
+        let per_thread: Vec<Vec<Vec<Wave>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    let mut session = SpindleSession::with_estimator(
+                        Arc::clone(&cluster),
+                        Arc::clone(&estimator),
+                        PlannerConfig::default(),
+                    );
+                    let (graphs, barrier) = (&graphs, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        graphs
+                            .iter()
+                            .map(|g| session.plan(g).unwrap().waves().to_vec())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("planning thread panicked"))
+                .collect()
+        });
+        for waves in per_thread {
+            assert_eq!(waves, expected);
+        }
+        assert_eq!(estimator.curve_fits(), estimator.cached_curves());
+        assert_eq!(estimator.curve_fits(), sequential.curve_fits());
     }
 }

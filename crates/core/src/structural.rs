@@ -30,11 +30,10 @@
 //! bit-identical schedules; the `incremental_replan` integration tests pin
 //! this equivalence over seeded churn sequences.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
+use spindle_estimator::ByteLru;
 use spindle_graph::WorkloadSignature;
 
 use crate::{MetaGraph, MetaLevel, PlacementCheckpoint, PlacementStrategy, Wave, WaveEntry};
@@ -61,6 +60,51 @@ fn wave_bytes(wave: &Wave) -> usize {
             .sum::<usize>()
 }
 
+/// The one key space of the structural cache: level and plan entries share
+/// one byte budget and one LRU clock. [`LevelKey`] and [`PlanKey`] each wrap
+/// their variant, so a lookup borrows the stored form without a copy.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum CacheKey {
+    Level {
+        num_devices: u32,
+        items: Vec<(WorkloadSignature, u32)>,
+    },
+    Plan {
+        num_devices: u32,
+        /// Device ids absent from the dense space `0..num_devices +
+        /// missing.len()` — empty on a pristine cluster, the removed ids
+        /// after device churn. Two post-churn clusters can have equal device
+        /// *counts* but different survivor *sets*; their placed skeletons are
+        /// not interchangeable.
+        missing: Vec<u32>,
+        placement: PlacementStrategy,
+        metaops: Vec<(WorkloadSignature, u32)>,
+        edges: Vec<(u32, u32)>,
+    },
+}
+
+impl CacheKey {
+    /// Approximate memory footprint of the key, for cache byte accounting.
+    fn approx_bytes(&self) -> usize {
+        let heap = match self {
+            Self::Level { items, .. } => {
+                items.len() * std::mem::size_of::<(WorkloadSignature, u32)>()
+            }
+            Self::Plan {
+                missing,
+                metaops,
+                edges,
+                ..
+            } => {
+                missing.len() * std::mem::size_of::<u32>()
+                    + metaops.len() * std::mem::size_of::<(WorkloadSignature, u32)>()
+                    + edges.len() * std::mem::size_of::<(u32, u32)>()
+            }
+        };
+        std::mem::size_of::<Self>() + heap
+    }
+}
+
 /// Canonical signature of one MetaLevel's allocation + scheduling sub-problem:
 /// the level's MetaOp workloads (signature and operator count, in level
 /// order) plus the device budget. Two levels with equal keys have
@@ -72,17 +116,14 @@ fn wave_bytes(wave: &Wave) -> usize {
 /// order, which graph builders derive from task declaration order, so
 /// recurring task mixes produce identically ordered levels.)
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct LevelKey {
-    num_devices: u32,
-    items: Vec<(WorkloadSignature, u32)>,
-}
+pub struct LevelKey(CacheKey);
 
 impl LevelKey {
     /// Builds the key of `level` within `metagraph` for a cluster of
     /// `num_devices`.
     #[must_use]
     pub fn of(metagraph: &MetaGraph, level: &MetaLevel, num_devices: u32) -> Self {
-        Self {
+        Self(CacheKey::Level {
             num_devices,
             items: level
                 .metaops
@@ -92,34 +133,23 @@ impl LevelKey {
                     (m.representative().workload_signature(), m.num_ops())
                 })
                 .collect(),
-        }
+        })
     }
 
     /// Approximate memory footprint of the key, for cache byte accounting.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.items.len() * std::mem::size_of::<(WorkloadSignature, u32)>()
+        self.0.approx_bytes()
     }
 }
 
 /// Canonical signature of a whole structural planning problem: every MetaOp's
-/// workload (in id order), the MetaGraph wiring, the device budget and the
+/// workload (in id order), the MetaGraph wiring, the device set and the
 /// placement strategy. Equal keys imply bit-identical *placed* plans, because
 /// placement reads nothing beyond MetaOp volumes (workload-determined), the
 /// edge structure and the wave schedule (level-determined).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PlanKey {
-    num_devices: u32,
-    /// Device ids absent from the dense space `0..num_devices + missing.len()`
-    /// — empty on a pristine cluster, the removed ids after device churn.
-    /// Two post-churn clusters can have equal device *counts* but different
-    /// survivor *sets*; their placed skeletons are not interchangeable.
-    missing: Vec<u32>,
-    placement: PlacementStrategy,
-    metaops: Vec<(WorkloadSignature, u32)>,
-    edges: Vec<(u32, u32)>,
-}
+pub struct PlanKey(CacheKey);
 
 impl PlanKey {
     /// Builds the plan-level key of `metagraph` for a pristine cluster of
@@ -139,7 +169,7 @@ impl PlanKey {
         missing: Vec<u32>,
         placement: PlacementStrategy,
     ) -> Self {
-        Self {
+        Self(CacheKey::Plan {
             num_devices,
             missing,
             placement,
@@ -149,16 +179,13 @@ impl PlanKey {
                 .map(|m| (m.representative().workload_signature(), m.num_ops()))
                 .collect(),
             edges: metagraph.edges().iter().map(|&(a, b)| (a.0, b.0)).collect(),
-        }
+        })
     }
 
     /// Approximate memory footprint of the key, for cache byte accounting.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.missing.len() * std::mem::size_of::<u32>()
-            + self.metaops.len() * std::mem::size_of::<(WorkloadSignature, u32)>()
-            + self.edges.len() * std::mem::size_of::<(u32, u32)>()
+        self.0.approx_bytes()
     }
 }
 
@@ -376,115 +403,35 @@ pub struct StructuralCacheStats {
     pub evictions: usize,
 }
 
-/// One cached level artifact with its LRU stamp and accounted size.
+/// One cached artifact of either granularity.
 #[derive(Debug)]
-struct LevelSlot {
-    artifact: Arc<LevelArtifact>,
-    bytes: usize,
-    /// Tick of the most recent lookup; a relaxed store through the read path
-    /// (an approximate LRU is all eviction needs).
-    tick: AtomicU64,
-}
-
-/// One cached placed skeleton with its LRU stamp and accounted size.
-#[derive(Debug)]
-struct SkeletonSlot {
-    skeleton: Arc<PlacedSkeleton>,
-    bytes: usize,
-    tick: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct CacheInner {
-    /// Bisection epsilon the level artifacts were solved under; a config
-    /// change invalidates them.
-    epsilon_bits: u64,
-    /// Approximate bytes currently cached across both maps.
-    bytes: usize,
-    levels: HashMap<LevelKey, LevelSlot>,
-    skeletons: HashMap<PlanKey, SkeletonSlot>,
-}
-
-impl CacheInner {
-    /// Evicts least-recently-used slots (levels and skeletons pooled under
-    /// one LRU clock) until the accounted bytes fit `budget`. Returns the
-    /// number of evictions performed. A just-inserted slot carries the
-    /// freshest tick so it goes last, but even it is dropped when it alone
-    /// exceeds the budget — the byte bound is a hard invariant.
-    fn evict_to_budget(&mut self, budget: usize) -> usize {
-        let mut evicted = 0;
-        while self.bytes > budget && (!self.levels.is_empty() || !self.skeletons.is_empty()) {
-            let oldest_level = self
-                .levels
-                .iter()
-                .min_by_key(|(_, s)| s.tick.load(Ordering::Relaxed))
-                .map(|(k, s)| (k.clone(), s.tick.load(Ordering::Relaxed)));
-            let oldest_skeleton = self
-                .skeletons
-                .iter()
-                .min_by_key(|(_, s)| s.tick.load(Ordering::Relaxed))
-                .map(|(k, s)| (k.clone(), s.tick.load(Ordering::Relaxed)));
-            let level_is_older = match (&oldest_level, &oldest_skeleton) {
-                (Some((_, lt)), Some((_, st))) => lt <= st,
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if level_is_older {
-                let (key, _) = oldest_level.expect("checked above");
-                if let Some(slot) = self.levels.remove(&key) {
-                    self.bytes -= slot.bytes;
-                    evicted += 1;
-                }
-            } else if let Some((key, _)) = oldest_skeleton {
-                if let Some(slot) = self.skeletons.remove(&key) {
-                    self.bytes -= slot.bytes;
-                    evicted += 1;
-                }
-            }
-        }
-        evicted
-    }
+enum Cached {
+    Level(Arc<LevelArtifact>),
+    Skeleton(Arc<PlacedSkeleton>),
 }
 
 /// The level-keyed structural plan cache of a
 /// [`SpindleSession`](crate::SpindleSession).
 ///
-/// Thread-safe behind an `RwLock` (the phase-parallel planning workers share
-/// it): lookups take the read path, only fresh solves write. Hit/miss
-/// counters let tests and benches *assert* structural reuse rather than
-/// trusting it.
+/// Owned by one session and mutated through `&mut self`. Hit/miss counters
+/// let tests and benches *assert* structural reuse rather than trusting it.
 ///
-/// The cache is bounded: artifacts carry approximate byte sizes and an LRU
-/// tick, and inserts evict least-recently-used entries once the accounted
-/// bytes exceed the configured budget (unbounded by default; sessions apply
+/// The cache is bounded: level artifacts and placed skeletons share one
+/// [`ByteLru`], so inserts evict least-recently-used entries of either kind
+/// once the accounted bytes exceed the configured budget (unbounded by
+/// default; sessions apply
 /// [`PlannerConfig::structural_cache_budget`](crate::PlannerConfig) on every
 /// planning pass).
+#[derive(Default)]
 pub struct StructuralPlanCache {
-    inner: RwLock<CacheInner>,
-    /// Byte budget; `usize::MAX` means unbounded.
-    budget: AtomicUsize,
-    /// Global LRU clock; every lookup hit stamps its slot with the next tick.
-    clock: AtomicU64,
-    level_hits: AtomicUsize,
-    level_misses: AtomicUsize,
-    skeleton_hits: AtomicUsize,
-    skeleton_misses: AtomicUsize,
-    evictions: AtomicUsize,
-}
-
-impl Default for StructuralPlanCache {
-    fn default() -> Self {
-        Self {
-            inner: RwLock::new(CacheInner::default()),
-            budget: AtomicUsize::new(usize::MAX),
-            clock: AtomicU64::new(0),
-            level_hits: AtomicUsize::new(0),
-            level_misses: AtomicUsize::new(0),
-            skeleton_hits: AtomicUsize::new(0),
-            skeleton_misses: AtomicUsize::new(0),
-            evictions: AtomicUsize::new(0),
-        }
-    }
+    entries: ByteLru<CacheKey, Cached>,
+    /// Bisection epsilon the level artifacts were solved under; a config
+    /// change invalidates them.
+    epsilon_bits: u64,
+    level_hits: usize,
+    level_misses: usize,
+    skeleton_hits: usize,
+    skeleton_misses: usize,
 }
 
 impl fmt::Debug for StructuralPlanCache {
@@ -509,161 +456,107 @@ impl StructuralPlanCache {
     /// Ensures the cache's artifacts were produced under `epsilon`, clearing
     /// them if the tolerance changed (cached bisection iterates would no
     /// longer match a fresh solve).
-    pub fn ensure_epsilon(&self, epsilon: f64) {
+    pub fn ensure_epsilon(&mut self, epsilon: f64) {
         let bits = epsilon.to_bits();
-        if self.read().epsilon_bits == bits {
-            return;
-        }
-        let mut inner = self.write();
-        if inner.epsilon_bits != bits {
-            inner.levels.clear();
-            inner.skeletons.clear();
-            inner.bytes = 0;
-            inner.epsilon_bits = bits;
+        if self.epsilon_bits != bits {
+            self.entries.clear();
+            self.epsilon_bits = bits;
         }
     }
 
     /// The current byte budget (`usize::MAX` means unbounded).
     #[must_use]
     pub fn budget(&self) -> usize {
-        self.budget.load(Ordering::Relaxed)
+        self.entries.budget()
     }
 
     /// Ensures the cache is bounded by `budget` bytes, evicting immediately
-    /// if the budget shrank below the currently cached bytes. Cheap when the
-    /// budget is unchanged (one relaxed load).
-    pub fn ensure_budget(&self, budget: usize) {
-        if self.budget.swap(budget, Ordering::Relaxed) == budget {
-            return;
-        }
-        let mut inner = self.write();
-        let evicted = inner.evict_to_budget(budget);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+    /// if the budget shrank below the currently cached bytes.
+    pub fn ensure_budget(&mut self, budget: usize) {
+        self.entries.set_budget(budget);
     }
 
     /// Approximate bytes currently cached.
     #[must_use]
     pub fn bytes(&self) -> usize {
-        self.read().bytes
+        self.entries.bytes()
     }
 
     /// Total artifacts evicted over the cache's lifetime.
     #[must_use]
     pub fn evictions(&self) -> usize {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    fn next_tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
+        self.entries.evictions()
     }
 
     /// Looks up a level artifact, counting the hit or miss.
     #[must_use]
-    pub fn level(&self, key: &LevelKey) -> Option<Arc<LevelArtifact>> {
-        let found = {
-            let inner = self.read();
-            inner.levels.get(key).map(|slot| {
-                slot.tick.store(self.next_tick(), Ordering::Relaxed);
-                Arc::clone(&slot.artifact)
-            })
-        };
-        match &found {
-            Some(_) => self.level_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.level_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+    pub fn level(&mut self, key: &LevelKey) -> Option<Arc<LevelArtifact>> {
+        match self.entries.get(&key.0) {
+            Some(Cached::Level(artifact)) => {
+                self.level_hits += 1;
+                Some(Arc::clone(artifact))
+            }
+            _ => {
+                self.level_misses += 1;
+                None
+            }
+        }
     }
 
     /// Inserts a freshly solved level artifact, evicting LRU entries if the
     /// insert pushed the cache over its byte budget.
-    pub fn insert_level(&self, key: LevelKey, artifact: LevelArtifact) {
-        let bytes = key.approx_bytes() + std::mem::size_of::<LevelSlot>() + artifact.approx_bytes();
-        let slot = LevelSlot {
-            artifact: Arc::new(artifact),
-            bytes,
-            tick: AtomicU64::new(self.next_tick()),
-        };
-        let budget = self.budget();
-        let mut inner = self.write();
-        if let Some(old) = inner.levels.insert(key, slot) {
-            inner.bytes -= old.bytes;
-        }
-        inner.bytes += bytes;
-        let evicted = inner.evict_to_budget(budget);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+    pub fn insert_level(&mut self, key: LevelKey, artifact: LevelArtifact) {
+        let bytes = key.approx_bytes() + artifact.approx_bytes();
+        self.entries
+            .insert(key.0, Cached::Level(Arc::new(artifact)), bytes);
     }
 
     /// Looks up a placed skeleton, counting the hit or miss.
     #[must_use]
-    pub fn skeleton(&self, key: &PlanKey) -> Option<Arc<PlacedSkeleton>> {
-        let found = {
-            let inner = self.read();
-            inner.skeletons.get(key).map(|slot| {
-                slot.tick.store(self.next_tick(), Ordering::Relaxed);
-                Arc::clone(&slot.skeleton)
-            })
-        };
-        match &found {
-            Some(_) => self.skeleton_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.skeleton_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+    pub fn skeleton(&mut self, key: &PlanKey) -> Option<Arc<PlacedSkeleton>> {
+        match self.entries.get(&key.0) {
+            Some(Cached::Skeleton(skeleton)) => {
+                self.skeleton_hits += 1;
+                Some(Arc::clone(skeleton))
+            }
+            _ => {
+                self.skeleton_misses += 1;
+                None
+            }
+        }
     }
 
     /// Inserts a freshly placed skeleton, evicting LRU entries if the insert
     /// pushed the cache over its byte budget.
-    pub fn insert_skeleton(&self, key: PlanKey, skeleton: PlacedSkeleton) {
-        let bytes =
-            key.approx_bytes() + std::mem::size_of::<SkeletonSlot>() + skeleton.approx_bytes();
-        let slot = SkeletonSlot {
-            skeleton: Arc::new(skeleton),
-            bytes,
-            tick: AtomicU64::new(self.next_tick()),
-        };
-        let budget = self.budget();
-        let mut inner = self.write();
-        if let Some(old) = inner.skeletons.insert(key, slot) {
-            inner.bytes -= old.bytes;
-        }
-        inner.bytes += bytes;
-        let evicted = inner.evict_to_budget(budget);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+    pub fn insert_skeleton(&mut self, key: PlanKey, skeleton: PlacedSkeleton) {
+        let bytes = key.approx_bytes() + skeleton.approx_bytes();
+        self.entries
+            .insert(key.0, Cached::Skeleton(Arc::new(skeleton)), bytes);
     }
 
     /// Drops every cached artifact (counters are kept).
-    pub fn clear(&self) {
-        let mut inner = self.write();
-        inner.levels.clear();
-        inner.skeletons.clear();
-        inner.bytes = 0;
+    pub fn clear(&mut self) {
+        self.entries.clear();
     }
 
     /// A snapshot of the cache counters.
     #[must_use]
     pub fn stats(&self) -> StructuralCacheStats {
-        let inner = self.read();
+        let level_entries = self
+            .entries
+            .keys()
+            .filter(|key| matches!(key, CacheKey::Level { .. }))
+            .count();
         StructuralCacheStats {
-            level_entries: inner.levels.len(),
-            skeleton_entries: inner.skeletons.len(),
-            level_hits: self.level_hits.load(Ordering::Relaxed),
-            level_misses: self.level_misses.load(Ordering::Relaxed),
-            skeleton_hits: self.skeleton_hits.load(Ordering::Relaxed),
-            skeleton_misses: self.skeleton_misses.load(Ordering::Relaxed),
-            bytes: inner.bytes,
-            evictions: self.evictions.load(Ordering::Relaxed),
+            level_entries,
+            skeleton_entries: self.entries.len() - level_entries,
+            level_hits: self.level_hits,
+            level_misses: self.level_misses,
+            skeleton_hits: self.skeleton_hits,
+            skeleton_misses: self.skeleton_misses,
+            bytes: self.entries.bytes(),
+            evictions: self.entries.evictions(),
         }
-    }
-
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, CacheInner> {
-        self.inner
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn write(&self) -> std::sync::RwLockWriteGuard<'_, CacheInner> {
-        self.inner
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -776,7 +669,7 @@ mod tests {
     fn cache_counts_hits_misses_and_clears_on_epsilon_change() {
         let cg = contracted(&[8]);
         let mg = cg.metagraph();
-        let cache = StructuralPlanCache::new();
+        let mut cache = StructuralPlanCache::new();
         cache.ensure_epsilon(1e-7);
         let key = LevelKey::of(mg, &mg.levels()[0], 8);
         assert!(cache.level(&key).is_none());
@@ -821,7 +714,7 @@ mod tests {
         let cg = contracted(&[8]);
         let mg = cg.metagraph();
         let level = &mg.levels()[0];
-        let cache = StructuralPlanCache::new();
+        let mut cache = StructuralPlanCache::new();
         assert_eq!(cache.budget(), usize::MAX, "unbounded by default");
         let key_for = |devices: u32| LevelKey::of(mg, level, devices);
         let artifact = || LevelArtifact {
@@ -842,7 +735,7 @@ mod tests {
             }],
         };
         let per_entry = key_for(1).approx_bytes()
-            + std::mem::size_of::<LevelSlot>()
+            + ByteLru::<CacheKey, Cached>::SLOT_BYTES
             + artifact().approx_bytes();
         // Room for exactly two level artifacts.
         cache.ensure_budget(2 * per_entry);

@@ -1,13 +1,11 @@
 //! The scalability estimator facade with cache-aware curve fitting.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use spindle_cluster::ClusterSpec;
 use spindle_graph::{Operator, WorkloadSignature};
 
-use crate::{AnalyticGpuModel, EstimatorError, PerfModel, Profiler, ScalingCurve};
+use crate::{AnalyticGpuModel, ByteLru, EstimatorError, PerfModel, Profiler, ScalingCurve};
 
 /// Default byte budget of the curve cache: generous enough that paper-scale
 /// and hyperscale workloads never evict, small enough that a long-running
@@ -58,48 +56,25 @@ impl CurveCacheStats {
 /// shared by a long-lived planning session, *re-planning* a changed task mix
 /// only fits curves for workloads it has never seen (regardless of how task
 /// ids shifted in the new graph).
+///
+/// The estimator is `Sync`: sessions pooling one estimator may plan on
+/// different threads (the planning service hands a tenant's session to
+/// another worker on resize). One mutex guards the cache and its counters,
+/// and a fit runs under it, so a signature is never fitted twice.
 pub struct ScalabilityEstimator {
     model: Arc<dyn PerfModel>,
     profiler: Profiler,
     max_devices: u32,
-    /// Curves by signature. An `RwLock` (not a `Mutex`) so that concurrent
-    /// planners sharing one warm estimator — e.g. the phase workers of
-    /// `SpindleSession::plan_phases_parallel` — serve cache hits without
-    /// serialising on the lock; the write path is taken only on a fit.
-    cache: RwLock<HashMap<WorkloadSignature, CurveSlot>>,
-    /// Byte budget of the cache; [`usize::MAX`] disables eviction.
-    budget: AtomicUsize,
-    /// Approximate bytes currently cached. Mutated only under the cache's
-    /// write lock; atomic so the read-path stats snapshot stays lock-free.
-    bytes: AtomicUsize,
-    /// Logical LRU clock: every lookup stamps the hit slot with the next
-    /// tick, so eviction can order slots by recency without a linked list.
-    clock: AtomicU64,
-    fits: AtomicUsize,
-    hits: AtomicUsize,
-    evictions: AtomicUsize,
+    cache: Mutex<CurveCache>,
 }
 
-/// One cached curve with its LRU stamp and accounted size.
-struct CurveSlot {
-    curve: Arc<ScalingCurve>,
-    bytes: usize,
-    /// Tick of the most recent lookup; updated through the read path with a
-    /// relaxed store (an approximate LRU is all eviction needs).
-    tick: AtomicU64,
-}
-
-impl CurveSlot {
-    fn new(curve: Arc<ScalingCurve>, tick: u64) -> Self {
-        let bytes = std::mem::size_of::<WorkloadSignature>()
-            + std::mem::size_of::<Self>()
-            + curve.approx_bytes();
-        Self {
-            curve,
-            bytes,
-            tick: AtomicU64::new(tick),
-        }
-    }
+/// The curve cache with its traffic counters (evictions are counted by the
+/// LRU itself).
+#[derive(Default)]
+struct CurveCache {
+    curves: ByteLru<WorkloadSignature, Arc<ScalingCurve>>,
+    fits: usize,
+    hits: usize,
 }
 
 impl std::fmt::Debug for ScalabilityEstimator {
@@ -131,13 +106,7 @@ impl ScalabilityEstimator {
             model,
             profiler: Profiler::new(),
             max_devices: max_devices.max(1),
-            cache: RwLock::new(HashMap::new()),
-            budget: AtomicUsize::new(usize::MAX),
-            bytes: AtomicUsize::new(0),
-            clock: AtomicU64::new(0),
-            fits: AtomicUsize::new(0),
-            hits: AtomicUsize::new(0),
-            evictions: AtomicUsize::new(0),
+            cache: Mutex::new(CurveCache::default()),
         }
     }
 
@@ -150,21 +119,15 @@ impl ScalabilityEstimator {
     /// The cache's byte budget ([`usize::MAX`] when unbounded).
     #[must_use]
     pub fn cache_budget(&self) -> usize {
-        self.budget.load(Ordering::Relaxed)
+        self.lock().curves.budget()
     }
 
     /// Sets the cache's byte budget, evicting least-recently-used curves if
-    /// the cache currently exceeds it. A no-op when the budget is unchanged,
-    /// so callers (e.g. a planning session applying its config before every
+    /// the cache currently exceeds it. Cheap when nothing needs evicting, so
+    /// callers (e.g. a planning session applying its config before every
     /// pass) can invoke it unconditionally.
     pub fn ensure_cache_budget(&self, budget: usize) {
-        if self.budget.swap(budget, Ordering::Relaxed) == budget {
-            return;
-        }
-        if self.bytes.load(Ordering::Relaxed) > budget {
-            let mut cache = self.write_cache();
-            self.evict_to_budget(&mut cache, budget);
-        }
+        self.lock().curves.set_budget(budget);
     }
 
     /// The scaling curve `T_m(n)` of the given operator (cached by signature).
@@ -184,7 +147,8 @@ impl ScalabilityEstimator {
     /// The scaling curve of the given operator, or an error if profiling fails.
     ///
     /// Cache hits are free and counted in [`cache_stats`](Self::cache_stats);
-    /// misses run the profiler and fit a fresh curve.
+    /// misses run the profiler and fit a fresh curve. A curve larger than the
+    /// whole byte budget is returned but not retained; a later lookup re-fits.
     ///
     /// # Errors
     ///
@@ -192,58 +156,20 @@ impl ScalabilityEstimator {
     /// operator is executable under the performance model.
     pub fn try_curve_for(&self, op: &Operator) -> Result<Arc<ScalingCurve>, EstimatorError> {
         let signature = op.workload_signature();
-        if let Some(slot) = self.read_cache().get(&signature) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            slot.tick.store(
-                self.clock.fetch_add(1, Ordering::Relaxed),
-                Ordering::Relaxed,
-            );
-            return Ok(Arc::clone(&slot.curve));
+        let mut guard = self.lock();
+        let cache = &mut *guard;
+        if let Some(curve) = cache.curves.get(&signature) {
+            cache.hits += 1;
+            return Ok(Arc::clone(curve));
         }
         let samples = self
             .profiler
             .profile(self.model.as_ref(), op, self.max_devices)?;
         let curve = Arc::new(ScalingCurve::from_samples(&samples)?);
-        // Re-check under the write lock: a concurrent caller sharing this
-        // estimator may have fitted the same signature meanwhile. Keeping the
-        // counters inside the critical section preserves the invariant that
-        // `curve_fits()` equals the number of distinct fitted signatures,
-        // which the zero-new-fits probes rely on (evictions may later shrink
-        // the cache below the fit count).
-        let mut cache = self.write_cache();
-        if let Some(existing) = cache.get(&signature) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(&existing.curve));
-        }
-        self.fits.fetch_add(1, Ordering::Relaxed);
-        let slot = CurveSlot::new(
-            Arc::clone(&curve),
-            self.clock.fetch_add(1, Ordering::Relaxed),
-        );
-        self.bytes.fetch_add(slot.bytes, Ordering::Relaxed);
-        cache.insert(signature, slot);
-        self.evict_to_budget(&mut cache, self.budget.load(Ordering::Relaxed));
+        cache.fits += 1;
+        let bytes = std::mem::size_of::<WorkloadSignature>() + curve.approx_bytes();
+        cache.curves.insert(signature, Arc::clone(&curve), bytes);
         Ok(curve)
-    }
-
-    /// Evicts least-recently-used slots until the accounted bytes fit the
-    /// budget. Must be called with the write lock held. The just-inserted
-    /// slot carries the freshest tick, so it goes last — but even it is
-    /// dropped if it alone exceeds the budget, keeping the bound a hard
-    /// invariant (the curve was still returned to the caller; a later lookup
-    /// simply re-fits).
-    fn evict_to_budget(&self, cache: &mut HashMap<WorkloadSignature, CurveSlot>, budget: usize) {
-        while self.bytes.load(Ordering::Relaxed) > budget && !cache.is_empty() {
-            let oldest = cache
-                .iter()
-                .min_by_key(|(_, slot)| slot.tick.load(Ordering::Relaxed))
-                .map(|(sig, _)| *sig)
-                .expect("cache is non-empty");
-            if let Some(slot) = cache.remove(&oldest) {
-                self.bytes.fetch_sub(slot.bytes, Ordering::Relaxed);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Per-device memory in bytes of one operator at allocation `n`.
@@ -255,7 +181,7 @@ impl ScalabilityEstimator {
     /// Number of distinct operator signatures profiled so far.
     #[must_use]
     pub fn cached_curves(&self) -> usize {
-        self.read_cache().len()
+        self.lock().curves.len()
     }
 
     /// Number of profile-and-fit operations performed so far. A lookup served
@@ -263,51 +189,44 @@ impl ScalabilityEstimator {
     /// tests assert "re-planning performed zero new fits".
     #[must_use]
     pub fn curve_fits(&self) -> usize {
-        self.fits.load(Ordering::Relaxed)
+        self.lock().fits
     }
 
     /// Number of curve lookups served from the cache.
     #[must_use]
     pub fn cache_hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
+        self.lock().hits
     }
 
     /// Approximate bytes currently held by the cached curves.
     #[must_use]
     pub fn cache_bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed)
+        self.lock().curves.bytes()
     }
 
     /// Curves evicted so far to keep the cache within its byte budget.
     #[must_use]
     pub fn cache_evictions(&self) -> usize {
-        self.evictions.load(Ordering::Relaxed)
+        self.lock().curves.evictions()
     }
 
     /// A snapshot of the curve-cache counters.
     #[must_use]
     pub fn cache_stats(&self) -> CurveCacheStats {
+        let cache = self.lock();
         CurveCacheStats {
-            entries: self.cached_curves(),
-            fits: self.curve_fits(),
-            hits: self.cache_hits(),
-            bytes: self.cache_bytes(),
-            evictions: self.cache_evictions(),
+            entries: cache.curves.len(),
+            fits: cache.fits,
+            hits: cache.hits,
+            bytes: cache.curves.bytes(),
+            evictions: cache.curves.evictions(),
         }
     }
 
-    fn read_cache(&self) -> std::sync::RwLockReadGuard<'_, HashMap<WorkloadSignature, CurveSlot>> {
-        self.cache
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn write_cache(
-        &self,
-    ) -> std::sync::RwLockWriteGuard<'_, HashMap<WorkloadSignature, CurveSlot>> {
-        self.cache
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// The cache is consistent after every step (a fit that panics inserts
+    /// nothing), so a poisoned lock is safe to recover.
+    fn lock(&self) -> MutexGuard<'_, CurveCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -40,6 +40,7 @@
 
 mod error;
 mod estimator;
+mod lru;
 mod memory_model;
 mod parallel;
 mod perf_model;
@@ -51,6 +52,7 @@ pub mod test_util;
 
 pub use error::EstimatorError;
 pub use estimator::{CurveCacheStats, ScalabilityEstimator, DEFAULT_CURVE_CACHE_BUDGET};
+pub use lru::ByteLru;
 pub use memory_model::MemoryModel;
 pub use parallel::ParallelConfig;
 pub use perf_model::{AnalyticGpuModel, PerfModel};

@@ -109,15 +109,8 @@ impl DynamicWorkload {
         &self.phases
     }
 
-    /// The phase graphs in training order — the shape consumed by
-    /// `SpindleSession::plan_phases_parallel`.
-    #[must_use]
-    pub fn phase_graphs(&self) -> Vec<&ComputationGraph> {
-        self.phases.iter().map(|p| &p.graph).collect()
-    }
-
     /// A schedule with this schedule's phases repeated `times` in a row —
-    /// used to scale phase-parallelism experiments beyond the native phase
+    /// used to scale multi-phase planning benchmarks beyond the native phase
     /// count.
     #[must_use]
     pub fn repeated(&self, times: usize) -> Self {
@@ -169,9 +162,8 @@ mod tests {
     }
 
     #[test]
-    fn phase_graphs_and_repetition_are_consistent() {
+    fn repetition_is_consistent() {
         let w = DynamicWorkload::multitask_clip_schedule().unwrap();
-        assert_eq!(w.phase_graphs().len(), w.phases().len());
         let doubled = w.repeated(2);
         assert_eq!(doubled.phases().len(), 2 * w.phases().len());
         assert_eq!(doubled.total_iterations(), 2 * w.total_iterations());

@@ -72,10 +72,13 @@ fn resize_under_concurrent_load_loses_zero_accepted_submissions() {
         .collect();
 
     // Re-shard while the submitters are running: grow, shrink, grow again.
-    let mut total_moves = 0;
+    // The loop runs as many rounds as the submitters take, so the migration
+    // volume is bounded per call: each resize moves at most the live tenant
+    // population (8), never more.
     while !done_submitting.load(Ordering::Relaxed) {
         for workers in [4usize, 1, 3, 2] {
-            total_moves += service.resize(workers);
+            let moves = service.resize(workers);
+            assert!(moves <= 8, "resize to {workers} moved {moves} tenants");
             assert_eq!(service.num_workers(), workers);
         }
         if submitters.iter().all(std::thread::JoinHandle::is_finished) {
@@ -102,9 +105,6 @@ fn resize_under_concurrent_load_loses_zero_accepted_submissions() {
         served, accepted,
         "an accepted submission was lost during resize"
     );
-    // Only sanity-bound the migration volume: each resize moves at most the
-    // live tenant population (8), never more.
-    assert!(total_moves <= 8 * 4 * 12, "moves: {total_moves}");
 }
 
 #[test]
