@@ -4,7 +4,10 @@
 //! Every case's mean is written to `BENCH_sim.json` at the workspace root
 //! (bench name → ns/iter) — together with `BENCH_planning.json` this is the
 //! input to the CI perf-regression gate. Set `SPINDLE_BENCH_QUICK=1` for the
-//! CI smoke mode.
+//! CI smoke mode. The `sim_reprices_*` entries are not timings but the
+//! deterministic number of congestion evaluations one contended iteration
+//! makes ([`SimReport::flows_repriced`](spindle_runtime::SimReport)), so the
+//! gate catches a slide back to repricing every active flow on any host.
 //!
 //! ```bash
 //! cargo bench -p spindle-bench --bench simulator
@@ -13,6 +16,7 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 use spindle_bench::microbench::{bench, group, quick_mode, write_json_report, Timing};
 use spindle_cluster::ClusterSpec;
@@ -21,13 +25,25 @@ use spindle_runtime::{
     price_checkpoint_write, CheckpointPolicy, DynamicRunLoop, RuntimeEngine, SimConfig, Simulator,
     Straggler,
 };
-use spindle_workloads::{multitask_clip, ArrivalSchedule, DynamicWorkload};
+use spindle_workloads::{hyperscale, multitask_clip, ArrivalSchedule, DynamicWorkload};
 
 fn report_path() -> PathBuf {
     if let Ok(path) = std::env::var("SPINDLE_BENCH_SIM_OUT") {
         return PathBuf::from(path);
     }
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sim.json")
+}
+
+/// Wraps a deterministic work count as a [`Timing`], one count per
+/// nanosecond, so it lands in the report beside the timings.
+fn counter(count: usize) -> Timing {
+    let d = Duration::from_nanos(count as u64);
+    Timing {
+        iters: 1,
+        min: d,
+        mean: d,
+        max: d,
+    }
 }
 
 fn main() {
@@ -67,6 +83,29 @@ fn main() {
             let _ = contended.run_iteration().unwrap();
         });
         report.push((format!("sim_contended_{name}"), t));
+    }
+
+    group("repricing work of one contended iteration (deterministic counts)");
+    for (name, graph, gpus) in [
+        ("clip-10t/32gpu", multitask_clip(10).unwrap(), 32usize),
+        ("hyperscale-64t/512gpu", hyperscale(64).unwrap(), 512),
+    ] {
+        let cluster = ClusterSpec::homogeneous(gpus / 8, 8);
+        let plan = SpindleSession::new(cluster.clone()).plan(&graph).unwrap();
+        let repriced = Simulator::new(plan, &cluster)
+            .with_graph(graph)
+            .with_config(SimConfig {
+                seed: 1,
+                ..SimConfig::contended()
+            })
+            .run_iteration()
+            .unwrap()
+            .flows_repriced();
+        println!(
+            "{:48} {repriced:>9} congestion evaluations",
+            format!("sim_reprices_{name}")
+        );
+        report.push((format!("sim_reprices_{name}"), counter(repriced)));
     }
 
     group("perturbed scenarios (clip-4t, 16 gpus)");

@@ -11,8 +11,6 @@
 //! simulator divides the flow's nominal bandwidth by that congestion factor,
 //! which is the classic equal-share approximation of max-min fairness.
 
-use std::collections::BTreeMap;
-
 use crate::{ClusterSpec, DeviceGroup, NodeId};
 
 /// One shared physical communication resource of the cluster.
@@ -37,6 +35,21 @@ pub enum LinkId {
     /// The shared storage spine every storage transfer crosses — the
     /// oversubscription point of the checkpoint tier.
     StorageSpine,
+}
+
+impl LinkId {
+    /// Dense index of this link, independent of the cluster size: the spine
+    /// is slot 0 and node `n`'s island bus, uplink, downlink and storage
+    /// link are slots `4n+1` to `4n+4`.
+    fn slot(self) -> usize {
+        match self {
+            LinkId::StorageSpine => 0,
+            LinkId::IslandBus(n) => 4 * n.index() + 1,
+            LinkId::Uplink(n) => 4 * n.index() + 2,
+            LinkId::Downlink(n) => 4 * n.index() + 3,
+            LinkId::StorageLink(n) => 4 * n.index() + 4,
+        }
+    }
 }
 
 impl std::fmt::Display for LinkId {
@@ -121,15 +134,20 @@ fn nodes_of(cluster: &ClusterSpec, group: &DeviceGroup) -> Vec<NodeId> {
     nodes
 }
 
-/// Tracks how many active flows occupy each shared link.
+/// Tracks which active flows occupy each shared link.
 ///
-/// The tracker is deliberately simple — register a footprint when a flow
+/// The tracker is deliberately simple — register a flow's footprint when it
 /// starts, release it when the flow completes, and ask for the congestion of
-/// any footprint in between. All operations are deterministic and
-/// allocation-light (one `BTreeMap` keyed by [`LinkId`]).
+/// any footprint in between. A flow is named by a caller-chosen id, so a
+/// simulator can also ask which flows share a link ([`LinkOccupancy::flows`])
+/// and reprice only those. All operations are deterministic: the flows are
+/// kept in one vector of per-link lists indexed by a dense link slot, grown
+/// to the highest node registered.
 #[derive(Debug, Clone, Default)]
 pub struct LinkOccupancy {
-    active: BTreeMap<LinkId, usize>,
+    /// The flows on each link, by slot; a flow is listed once for each
+    /// occurrence of the link in its footprint.
+    links: Vec<Vec<usize>>,
 }
 
 impl LinkOccupancy {
@@ -139,32 +157,41 @@ impl LinkOccupancy {
         Self::default()
     }
 
-    /// Registers an active flow occupying `footprint`.
-    pub fn register(&mut self, footprint: &[LinkId]) {
+    /// Registers the active flow `flow` occupying `footprint`.
+    pub fn register(&mut self, flow: usize, footprint: &[LinkId]) {
         for &link in footprint {
-            *self.active.entry(link).or_insert(0) += 1;
+            let slot = link.slot();
+            if slot >= self.links.len() {
+                self.links.resize_with(slot + 1, Vec::new);
+            }
+            self.links[slot].push(flow);
         }
     }
 
-    /// Releases a previously registered flow.
+    /// Releases the flow `flow` from `footprint`.
     ///
-    /// Releasing links that were never registered is a no-op (the tracker
-    /// saturates at zero rather than underflowing).
-    pub fn release(&mut self, footprint: &[LinkId]) {
-        for link in footprint {
-            if let Some(count) = self.active.get_mut(link) {
-                *count = count.saturating_sub(1);
-                if *count == 0 {
-                    self.active.remove(link);
+    /// Releasing a flow from links it was never registered on is a no-op
+    /// (the tracker saturates at zero rather than underflowing).
+    pub fn release(&mut self, flow: usize, footprint: &[LinkId]) {
+        for &link in footprint {
+            if let Some(listed) = self.links.get_mut(link.slot()) {
+                if let Some(at) = listed.iter().position(|&f| f == flow) {
+                    listed.swap_remove(at);
                 }
             }
         }
     }
 
+    /// The flows on `link`, in no particular order.
+    #[must_use]
+    pub fn flows(&self, link: LinkId) -> &[usize] {
+        self.links.get(link.slot()).map_or(&[], Vec::as_slice)
+    }
+
     /// Number of active flows on `link`.
     #[must_use]
     pub fn flows_on(&self, link: LinkId) -> usize {
-        self.active.get(&link).copied().unwrap_or(0)
+        self.flows(link).len()
     }
 
     /// Worst-case congestion over `footprint`: the maximum number of
@@ -185,7 +212,7 @@ impl LinkOccupancy {
     /// Number of links currently carrying at least one flow.
     #[must_use]
     pub fn busy_links(&self) -> usize {
-        self.active.len()
+        self.links.iter().filter(|flows| !flows.is_empty()).count()
     }
 }
 
@@ -253,19 +280,91 @@ mod tests {
         let f2 = transfer_footprint(&c, &src, &far);
         let mut occ = LinkOccupancy::new();
         assert_eq!(occ.congestion(&f1), 1);
-        occ.register(&f1);
-        occ.register(&f1);
+        occ.register(0, &f1);
+        occ.register(1, &f1);
         assert_eq!(occ.congestion(&f1), 2);
         // The cross-island flow does not contend with the NVLink flow.
-        occ.register(&f2);
+        occ.register(2, &f2);
         assert_eq!(occ.congestion(&f2), 1);
         assert_eq!(occ.busy_links(), 3);
-        occ.release(&f1);
+        occ.release(0, &f1);
         assert_eq!(occ.congestion(&f1), 1);
-        occ.release(&f1);
-        occ.release(&f1); // over-release saturates
+        occ.release(1, &f1);
+        occ.release(1, &f1); // over-release saturates
         assert_eq!(occ.flows_on(LinkId::IslandBus(NodeId(0))), 0);
         assert_eq!(occ.congestion(&[]), 1);
+    }
+
+    fn every_link(nodes: u32) -> Vec<LinkId> {
+        let mut links: Vec<LinkId> = (0..nodes)
+            .flat_map(|n| {
+                let n = NodeId(n);
+                [
+                    LinkId::IslandBus(n),
+                    LinkId::Uplink(n),
+                    LinkId::Downlink(n),
+                    LinkId::StorageLink(n),
+                ]
+            })
+            .collect();
+        links.push(LinkId::StorageSpine);
+        links
+    }
+
+    #[test]
+    fn every_link_maps_to_a_distinct_dense_slot() {
+        let links = every_link(8);
+        let mut slots: Vec<usize> = links.iter().map(|l| l.slot()).collect();
+        slots.sort_unstable();
+        // Distinct and dense: the 33 links of 8 nodes fill slots 0..33.
+        assert_eq!(slots, (0..links.len()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn release_of_an_unregistered_flow_saturates_at_zero() {
+        let mut occ = LinkOccupancy::new();
+        occ.release(0, &[LinkId::Uplink(NodeId(1)), LinkId::StorageSpine]);
+        assert_eq!(occ.busy_links(), 0);
+        occ.register(1, &[LinkId::Uplink(NodeId(1))]);
+        // Another flow's release leaves the registered one in place.
+        occ.release(2, &[LinkId::Uplink(NodeId(1)), LinkId::Downlink(NodeId(7))]);
+        assert_eq!(occ.flows(LinkId::Uplink(NodeId(1))), &[1]);
+    }
+
+    #[test]
+    fn empty_footprint_has_congestion_one() {
+        let mut occ = LinkOccupancy::new();
+        assert_eq!(occ.congestion(&[]), 1);
+        occ.register(0, &every_link(2));
+        assert_eq!(occ.congestion(&[]), 1);
+    }
+
+    #[test]
+    fn duplicated_link_counts_twice() {
+        let up = LinkId::Uplink(NodeId(0));
+        let footprint = [up, up, LinkId::StorageSpine];
+        let mut occ = LinkOccupancy::new();
+        occ.register(3, &footprint);
+        assert_eq!(occ.flows(up), &[3, 3]);
+        assert_eq!(occ.congestion(&[LinkId::StorageSpine]), 1);
+        assert_eq!(occ.congestion(&footprint), 2);
+        occ.release(3, &footprint);
+        assert_eq!(occ.busy_links(), 0);
+    }
+
+    #[test]
+    fn flows_lists_every_flow_on_a_link() {
+        let mut occ = LinkOccupancy::new();
+        occ.register(0, &every_link(2));
+        occ.register(1, &[LinkId::Downlink(NodeId(5)), LinkId::StorageSpine]);
+        occ.register(2, &[LinkId::StorageSpine]);
+        let mut spine = occ.flows(LinkId::StorageSpine).to_vec();
+        spine.sort_unstable();
+        assert_eq!(spine, [0, 1, 2]);
+        assert_eq!(occ.flows(LinkId::Downlink(NodeId(5))), &[1]);
+        assert!(occ.flows(LinkId::Uplink(NodeId(9))).is_empty());
+        occ.release(1, &[LinkId::StorageSpine]);
+        assert_eq!(occ.flows_on(LinkId::StorageSpine), 2);
     }
 
     #[test]

@@ -41,6 +41,9 @@ pub struct ClusterSpec {
     interconnect: InterconnectSpec,
     storage: StorageSpec,
     nodes: Vec<NodeSpec>,
+    /// The node of each device, indexed by global device id; derived from
+    /// `nodes` whenever they change, so [`ClusterSpec::node_of`] is a lookup.
+    node_index: Vec<Option<NodeId>>,
 }
 
 impl ClusterSpec {
@@ -83,11 +86,30 @@ impl ClusterSpec {
                     .collect(),
             })
             .collect();
+        Self::from_nodes(gpu, interconnect, StorageSpec::default(), nodes)
+    }
+
+    fn from_nodes(
+        gpu: GpuSpec,
+        interconnect: InterconnectSpec,
+        storage: StorageSpec,
+        nodes: Vec<NodeSpec>,
+    ) -> Self {
+        let mut node_index = Vec::new();
+        for node in &nodes {
+            for d in &node.devices {
+                if node_index.len() <= d.index() {
+                    node_index.resize(d.index() + 1, None);
+                }
+                node_index[d.index()].get_or_insert(node.id);
+            }
+        }
         Self {
             gpu,
             interconnect,
-            storage: StorageSpec::default(),
+            storage,
             nodes,
+            node_index,
         }
     }
 
@@ -158,14 +180,19 @@ impl ClusterSpec {
     /// Returns [`ClusterError::EmptyCluster`] if removal would leave no
     /// device at all.
     pub fn without_devices(&self, removed: &[DeviceId]) -> Result<Self, ClusterError> {
-        let mut spec = self.clone();
-        for node in &mut spec.nodes {
+        let mut nodes = self.nodes.clone();
+        for node in &mut nodes {
             node.devices.retain(|d| !removed.contains(d));
         }
-        if spec.num_devices() == 0 {
+        if nodes.iter().all(|n| n.devices.is_empty()) {
             return Err(ClusterError::EmptyCluster);
         }
-        Ok(spec)
+        Ok(Self::from_nodes(
+            self.gpu,
+            self.interconnect,
+            self.storage,
+            nodes,
+        ))
     }
 
     /// Number of nodes (device islands).
@@ -205,17 +232,17 @@ impl ClusterSpec {
     /// Returns [`ClusterError::UnknownDevice`] if the device is not part of the
     /// cluster.
     pub fn node_of(&self, device: DeviceId) -> Result<NodeId, ClusterError> {
-        self.nodes
-            .iter()
-            .find(|n| n.devices.contains(&device))
-            .map(|n| n.id)
+        self.node_index
+            .get(device.index())
+            .copied()
+            .flatten()
             .ok_or(ClusterError::UnknownDevice(device))
     }
 
     /// Returns `true` if `device` exists in this cluster.
     #[must_use]
     pub fn contains(&self, device: DeviceId) -> bool {
-        self.nodes.iter().any(|n| n.devices.contains(&device))
+        self.node_of(device).is_ok()
     }
 
     /// Link class between two devices of the cluster.

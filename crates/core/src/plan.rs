@@ -251,13 +251,12 @@ impl ExecutionPlan {
             for entry in &wave.entries {
                 *scheduled.entry(entry.metaop).or_insert(0) += entry.layers;
                 if let Some(group) = &entry.placement {
-                    for d in group.iter() {
-                        if used.contains(&d) {
-                            return Err(PlanError::PlacementOverlap { wave: wave.index });
-                        }
-                        used.push(d);
-                    }
+                    used.extend(group.iter());
                 }
+            }
+            used.sort_unstable();
+            if used.windows(2).any(|pair| pair[0] == pair[1]) {
+                return Err(PlanError::PlacementOverlap { wave: wave.index });
             }
         }
         for metaop in self.metagraph.metaops() {

@@ -184,13 +184,16 @@ pub fn migration_bytes(flows: &[MigrationFlow]) -> u64 {
 #[must_use]
 pub fn price_migration(cluster: &ClusterSpec, flows: &[MigrationFlow], contended: bool) -> f64 {
     struct Active {
+        id: usize,
         remaining_s: f64,
         footprint: Vec<LinkId>,
     }
     let comm = CommModel::new(cluster);
     let mut active: Vec<Active> = flows
         .iter()
-        .map(|f| Active {
+        .enumerate()
+        .map(|(id, f)| Active {
+            id,
             remaining_s: comm.p2p_time(f.from, f.to, f.bytes),
             footprint: transfer_footprint(
                 cluster,
@@ -202,7 +205,7 @@ pub fn price_migration(cluster: &ClusterSpec, flows: &[MigrationFlow], contended
     let mut occupancy = LinkOccupancy::new();
     if contended {
         for flow in &active {
-            occupancy.register(&flow.footprint);
+            occupancy.register(flow.id, &flow.footprint);
         }
     }
     let mut now = 0.0_f64;
@@ -222,7 +225,7 @@ pub fn price_migration(cluster: &ClusterSpec, flows: &[MigrationFlow], contended
             if active[i].remaining_s <= eps {
                 let done = active.swap_remove(i);
                 if contended {
-                    occupancy.release(&done.footprint);
+                    occupancy.release(done.id, &done.footprint);
                 }
             } else {
                 i += 1;

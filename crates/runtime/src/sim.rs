@@ -14,8 +14,14 @@
 //! reproduces the analytical engine's iteration time — the cross-check oracle
 //! the invariant tests pin to within 1%. Enable [`CommMode::Overlapped`] and
 //! contention to explore the regimes the closed-form model cannot express.
+//!
+//! A run first compiles everything that does not depend on [`SimConfig`] —
+//! the localised plan, and every transmission's and parameter sync's nominal
+//! time and link footprint — into a flow table the event loop borrows. Under
+//! contention a flow start or end reprices only the flows that share a link
+//! with it.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use spindle_cluster::{
@@ -190,6 +196,7 @@ pub struct SimReport {
     event_log: EventLog,
     flows_executed: usize,
     syncs_executed: usize,
+    flows_repriced: usize,
 }
 
 impl SimReport {
@@ -254,6 +261,14 @@ impl SimReport {
         self.syncs_executed
     }
 
+    /// Number of congestion evaluations the run made: one per flow whose
+    /// rate was recomputed at a flow start or end (0 without contention). A
+    /// deterministic measure of the simulator's repricing work.
+    #[must_use]
+    pub fn flows_repriced(&self) -> usize {
+        self.flows_repriced
+    }
+
     /// Relative gap of the simulated iteration time versus a reference time
     /// (e.g. the analytical engine's): `(simulated - reference) / reference`.
     #[must_use]
@@ -293,7 +308,6 @@ impl SimReport {
 pub struct Simulator {
     plan: Arc<ExecutionPlan>,
     cluster: ClusterSpec,
-    comm: CommModel,
     graph: Option<Arc<ComputationGraph>>,
     config: SimConfig,
 }
@@ -307,7 +321,6 @@ impl Simulator {
         Self {
             plan: plan.into_shared(),
             cluster: cluster.clone(),
-            comm: CommModel::new(cluster),
             graph: None,
             config: SimConfig::default(),
         }
@@ -342,9 +355,8 @@ impl Simulator {
     /// lacks placement, and [`RuntimeError::ClusterMismatch`] if the plan was
     /// built for more devices than the cluster has.
     pub fn run_iteration(&self) -> Result<SimReport, RuntimeError> {
-        let localized =
-            LocalizedPlan::new(Arc::clone(&self.plan), &self.cluster, self.graph.as_deref())?;
-        let mut run = Run::new(&localized, &self.cluster, &self.comm, &self.config);
+        let table = self.compile()?;
+        let mut run = Run::new(&table, &self.config);
         run.execute();
         Ok(run.into_report())
     }
@@ -363,23 +375,80 @@ impl Simulator {
         &self,
         fault: &FaultSpec,
     ) -> Result<(SimReport, FaultReport), RuntimeError> {
-        let localized =
-            LocalizedPlan::new(Arc::clone(&self.plan), &self.cluster, self.graph.as_deref())?;
-        let mut run = Run::new(&localized, &self.cluster, &self.comm, &self.config);
+        let table = self.compile()?;
+        let mut run = Run::new(&table, &self.config);
         run.fault = Some(fault);
         run.execute();
         let fault_report = run.fault_report.take().unwrap_or(FaultReport {
             fired: false,
             at_s: fault.at_s,
-            completed_waves: localized.plan().num_waves(),
+            completed_waves: table.localized.plan().num_waves(),
             ..FaultReport::default()
         });
         Ok((run.into_report(), fault_report))
     }
+
+    fn compile(&self) -> Result<FlowTable, RuntimeError> {
+        FlowTable::compile(&self.plan, &self.cluster, self.graph.as_deref())
+    }
+}
+
+/// The plan-invariant part of a run: the localised plan and every flow it
+/// issues, priced and given its link footprint before the event loop starts.
+#[derive(Debug)]
+struct FlowTable {
+    localized: LocalizedPlan,
+    /// The transmissions issued after each wave, in transmission-site order.
+    boundaries: Vec<Vec<FlowSpec>>,
+    /// One all-reduce per parameter device group, in pool order.
+    syncs: Vec<FlowSpec>,
+}
+
+impl FlowTable {
+    fn compile(
+        plan: &Arc<ExecutionPlan>,
+        cluster: &ClusterSpec,
+        graph: Option<&ComputationGraph>,
+    ) -> Result<Self, RuntimeError> {
+        let localized = LocalizedPlan::new(Arc::clone(plan), cluster, graph)?;
+        let comm = CommModel::new(cluster);
+        let mut boundaries: Vec<Vec<FlowSpec>> = (0..localized.plan().num_waves())
+            .map(|_| Vec::new())
+            .collect();
+        for site in localized.sites() {
+            let t = &site.transmission;
+            if let Some(boundary) = boundaries.get_mut(site.after_wave) {
+                boundary.push(FlowSpec {
+                    nominal_s: t.round_trip_time(&comm),
+                    footprint: transfer_footprint(cluster, &t.src, &t.dst),
+                    label: FlowLabel::Transmission {
+                        from: t.from,
+                        to: t.to,
+                    },
+                });
+            }
+        }
+        let syncs = localized
+            .pool()
+            .groups()
+            .iter()
+            .enumerate()
+            .map(|(i, (group, bytes))| FlowSpec {
+                nominal_s: comm.all_reduce_time(group, *bytes),
+                footprint: collective_footprint(cluster, group),
+                label: FlowLabel::Sync { group: i },
+            })
+            .collect();
+        Ok(Self {
+            localized,
+            boundaries,
+            syncs,
+        })
+    }
 }
 
 /// An inter-wave transmission or parameter sync waiting to be serviced.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct FlowSpec {
     nominal_s: f64,
     footprint: Vec<LinkId>,
@@ -400,13 +469,15 @@ enum FlowLabel {
 }
 
 #[derive(Debug)]
-struct ActiveFlow {
+struct ActiveFlow<'a> {
     remaining_s: f64,
     rate: f64,
     last_settle_s: f64,
-    footprint: Vec<LinkId>,
+    footprint: &'a [LinkId],
     label: FlowLabel,
     epoch: u64,
+    /// The last repricing that collected this flow.
+    round: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -423,9 +494,8 @@ enum Ev {
 }
 
 struct Run<'a> {
-    localized: &'a LocalizedPlan,
-    cluster: &'a ClusterSpec,
-    comm: &'a CommModel,
+    table: &'a FlowTable,
+    plan: &'a ExecutionPlan,
     config: &'a SimConfig,
     queue: EventQueue<Ev>,
     log: EventLog,
@@ -436,13 +506,20 @@ struct Run<'a> {
     wave_start: f64,
     outstanding_compute: usize,
     stage_start: f64,
-    serial_pending: VecDeque<FlowSpec>,
-    /// Reusable staging buffer for the flow specs of one boundary/sync stage,
-    /// so steady-state wave boundaries allocate no fresh `Vec` per stage.
-    spec_buf: Vec<FlowSpec>,
+    /// The flows of the current stage not yet started (serialized mode).
+    serial_pending: &'a [FlowSpec],
     outstanding_flows: usize,
-    flows: Vec<Option<ActiveFlow>>,
+    /// Every flow started so far, by id; `None` once it ended.
+    flows: Vec<Option<ActiveFlow<'a>>>,
+    /// Ids of the active flows (contention mode).
+    active: Vec<usize>,
+    /// The active flows on each link (contention mode).
     occupancy: LinkOccupancy,
+    /// Scratch list of the flows one start or end reprices.
+    affected: Vec<usize>,
+    /// Counts repricings; a flow whose `round` equals it is in `affected`.
+    reprice_round: u64,
+    flows_repriced: usize,
     compute_s: f64,
     comm_s: f64,
     sync_s: f64,
@@ -458,16 +535,10 @@ struct Run<'a> {
 }
 
 impl<'a> Run<'a> {
-    fn new(
-        localized: &'a LocalizedPlan,
-        cluster: &'a ClusterSpec,
-        comm: &'a CommModel,
-        config: &'a SimConfig,
-    ) -> Self {
+    fn new(table: &'a FlowTable, config: &'a SimConfig) -> Self {
         Self {
-            localized,
-            cluster,
-            comm,
+            table,
+            plan: table.localized.plan(),
             config,
             queue: EventQueue::new(),
             log: EventLog::default(),
@@ -478,11 +549,14 @@ impl<'a> Run<'a> {
             wave_start: 0.0,
             outstanding_compute: 0,
             stage_start: 0.0,
-            serial_pending: VecDeque::new(),
-            spec_buf: Vec::new(),
+            serial_pending: &[],
             outstanding_flows: 0,
             flows: Vec::new(),
+            active: Vec::new(),
             occupancy: LinkOccupancy::new(),
+            affected: Vec::new(),
+            reprice_round: 0,
+            flows_repriced: 0,
             compute_s: 0.0,
             comm_s: 0.0,
             sync_s: 0.0,
@@ -499,22 +573,13 @@ impl<'a> Run<'a> {
     fn execute(&mut self) {
         // Background flows contend from t=0; without overlapped contention
         // they could never interact with the iteration, so skip them.
-        if self.config.comm_mode == CommMode::Overlapped && self.config.contention {
-            let specs: Vec<FlowSpec> = self
-                .config
-                .background_flows
-                .iter()
-                .map(|bg| FlowSpec {
-                    nominal_s: bg.nominal_s,
-                    footprint: bg.footprint.clone(),
-                    label: FlowLabel::Background,
-                })
-                .collect();
-            for spec in specs {
-                self.start_flow(spec);
+        let config = self.config;
+        if config.comm_mode == CommMode::Overlapped && config.contention {
+            for bg in &config.background_flows {
+                self.start_flow(bg.nominal_s, &bg.footprint, FlowLabel::Background);
             }
         }
-        if self.localized.plan().num_waves() == 0 {
+        if self.plan.num_waves() == 0 {
             self.start_sync();
         } else {
             self.schedule_wave(0);
@@ -607,7 +672,7 @@ impl<'a> Run<'a> {
         self.stage = Stage::Compute;
         self.wave = w;
         self.wave_start = self.now;
-        let wave = &self.localized.plan().waves()[w];
+        let wave = &self.plan.waves()[w];
         self.outstanding_compute = wave.entries.len();
         self.inflight.clear();
         for (idx, entry) in wave.entries.iter().enumerate() {
@@ -629,12 +694,7 @@ impl<'a> Run<'a> {
                 let factor = 1.0 + self.config.compute_jitter * (2.0 * u - 1.0);
                 duration *= factor.max(0.01);
             }
-            let rep = self
-                .localized
-                .plan()
-                .metagraph()
-                .metaop(entry.metaop)
-                .representative();
+            let rep = self.plan.metagraph().metaop(entry.metaop).representative();
             let flops = rep.flops_total() * f64::from(entry.layers);
             self.intervals.push(ComputeInterval {
                 start_s: self.now,
@@ -667,7 +727,7 @@ impl<'a> Run<'a> {
     }
 
     fn on_compute_end(&mut self, wave: usize, entry: usize) {
-        let metaop = self.localized.plan().waves()[wave].entries[entry].metaop;
+        let metaop = self.plan.waves()[wave].entries[entry].metaop;
         self.log
             .push(self.now, SimEventKind::ComputeEnd { wave, metaop });
         self.inflight.retain(|&(idx, _)| idx != entry);
@@ -685,35 +745,18 @@ impl<'a> Run<'a> {
     }
 
     fn start_boundary(&mut self) {
-        // Stage the boundary's flows in the reusable scratch buffer (taken
-        // out of `self` for the duration of the fill to appease borrows; its
-        // capacity survives the round-trip).
-        let mut specs = std::mem::take(&mut self.spec_buf);
-        specs.clear();
-        specs.extend(self.localized.sites_after_wave(self.wave).map(|site| {
-            let t = &site.transmission;
-            FlowSpec {
-                nominal_s: t.round_trip_time(self.comm),
-                footprint: transfer_footprint(self.cluster, &t.src, &t.dst),
-                label: FlowLabel::Transmission {
-                    from: t.from,
-                    to: t.to,
-                },
-            }
-        }));
+        let specs = &self.table.boundaries[self.wave];
         self.stage = Stage::Boundary;
         self.stage_start = self.now;
         if specs.is_empty() {
-            self.spec_buf = specs;
             self.advance();
         } else {
-            self.issue(&mut specs);
-            self.spec_buf = specs;
+            self.issue(specs);
         }
     }
 
     fn advance(&mut self) {
-        if self.wave + 1 < self.localized.plan().num_waves() {
+        if self.wave + 1 < self.plan.num_waves() {
             self.schedule_wave(self.wave + 1);
         } else {
             self.start_sync();
@@ -721,49 +764,40 @@ impl<'a> Run<'a> {
     }
 
     fn start_sync(&mut self) {
-        let mut specs = std::mem::take(&mut self.spec_buf);
-        specs.clear();
-        specs.extend(self.localized.pool().groups().iter().enumerate().map(
-            |(i, (group, bytes))| FlowSpec {
-                nominal_s: self.comm.all_reduce_time(group, *bytes),
-                footprint: collective_footprint(self.cluster, group),
-                label: FlowLabel::Sync { group: i },
-            },
-        ));
+        let specs = &self.table.syncs;
         self.stage = Stage::Sync;
         self.stage_start = self.now;
         if specs.is_empty() {
-            self.spec_buf = specs;
             self.finish();
         } else {
-            self.issue(&mut specs);
-            self.spec_buf = specs;
+            self.issue(specs);
         }
     }
 
-    fn issue(&mut self, specs: &mut Vec<FlowSpec>) {
+    fn issue(&mut self, specs: &'a [FlowSpec]) {
         self.outstanding_flows = specs.len();
         match self.config.comm_mode {
             CommMode::Serialized => {
-                self.serial_pending.extend(specs.drain(..));
+                self.serial_pending = specs;
                 self.start_next_serial();
             }
             CommMode::Overlapped => {
-                for spec in specs.drain(..) {
-                    self.start_flow(spec);
+                for spec in specs {
+                    self.start_flow(spec.nominal_s, &spec.footprint, spec.label);
                 }
             }
         }
     }
 
     fn start_next_serial(&mut self) {
-        if let Some(spec) = self.serial_pending.pop_front() {
-            self.start_flow(spec);
+        if let Some((spec, rest)) = self.serial_pending.split_first() {
+            self.serial_pending = rest;
+            self.start_flow(spec.nominal_s, &spec.footprint, spec.label);
         }
     }
 
-    fn start_flow(&mut self, spec: FlowSpec) {
-        match spec.label {
+    fn start_flow(&mut self, nominal_s: f64, footprint: &'a [LinkId], label: FlowLabel) {
+        match label {
             FlowLabel::Transmission { from, to } => {
                 self.log
                     .push(self.now, SimEventKind::FlowStart { from, to });
@@ -773,70 +807,89 @@ impl<'a> Run<'a> {
             }
             FlowLabel::Background => {}
         }
-        if !self.config.contention {
+        let id = self.flows.len();
+        let contended = self.config.contention;
+        if contended {
+            self.settle_flows();
+            self.occupancy.register(id, footprint);
+            self.active.push(id);
+        }
+        self.flows.push(Some(ActiveFlow {
+            remaining_s: nominal_s,
+            // Under contention a negative sentinel guarantees the first
+            // reprice sees a changed rate and schedules this flow's
+            // completion event.
+            rate: if contended { -1.0 } else { 1.0 },
+            last_settle_s: self.now,
+            footprint,
+            label,
+            epoch: 0,
+            round: 0,
+        }));
+        if contended {
+            self.reprice_sharing(footprint, Some(id));
+        } else {
             // Rates never change without contention: schedule the completion
             // once and never settle or reprice.
-            let id = self.flows.len();
             self.queue
-                .push(self.now + spec.nominal_s, Ev::FlowEnd { id, epoch: 0 });
-            self.flows.push(Some(ActiveFlow {
-                remaining_s: spec.nominal_s,
-                rate: 1.0,
-                last_settle_s: self.now,
-                footprint: spec.footprint,
-                label: spec.label,
-                epoch: 0,
-            }));
-            return;
+                .push(self.now + nominal_s, Ev::FlowEnd { id, epoch: 0 });
         }
-        self.settle_flows();
-        self.occupancy.register(&spec.footprint);
-        self.flows.push(Some(ActiveFlow {
-            remaining_s: spec.nominal_s,
-            // Negative sentinel: guarantees the first reprice sees a changed
-            // rate and schedules this flow's completion event.
-            rate: -1.0,
-            last_settle_s: self.now,
-            footprint: spec.footprint,
-            label: spec.label,
-            epoch: 0,
-        }));
-        self.reprice_flows();
     }
 
     /// Advances every active flow's remaining service to the current time at
     /// its current rate (contention mode only — without contention the
     /// completion is scheduled once at start and never revisited).
     fn settle_flows(&mut self) {
-        for flow in self.flows.iter_mut().flatten() {
+        for &id in &self.active {
+            let flow = self.flows[id].as_mut().expect("active flows are live");
             let elapsed = self.now - flow.last_settle_s;
             flow.remaining_s = (flow.remaining_s - elapsed * flow.rate.max(0.0)).max(0.0);
             flow.last_settle_s = self.now;
         }
     }
 
-    /// Recomputes active flows' service rates from current link occupancy and
-    /// re-schedules the completion events of flows whose rate actually
+    /// Recomputes the service rates of the flows that share a link with
+    /// `footprint` (plus `started`, the flow just added) — the only flows
+    /// whose congestion a start or end on `footprint` can change — and
+    /// re-schedules the completion events of those whose rate actually
     /// changed. A flow with an unchanged rate keeps its scheduled event —
-    /// settling preserves `last_settle + remaining/rate` — so only genuinely
-    /// affected flows churn the queue; stale events are invalidated through
-    /// the epoch counter.
-    fn reprice_flows(&mut self) {
-        let mut updates: Vec<(usize, f64, u64)> = Vec::new();
-        for (id, slot) in self.flows.iter_mut().enumerate() {
-            let Some(flow) = slot else { continue };
-            let congestion = self.occupancy.congestion(&flow.footprint);
-            let rate = 1.0 / congestion as f64;
+    /// settling preserves `last_settle + remaining/rate` — and stale events
+    /// are invalidated through the epoch counter. Flows are visited in
+    /// ascending id order, so the queue sees the same pushes in the same
+    /// order as a scan over every active flow would make.
+    fn reprice_sharing(&mut self, footprint: &[LinkId], started: Option<usize>) {
+        let mut affected = std::mem::take(&mut self.affected);
+        affected.clear();
+        self.reprice_round += 1;
+        let listed = footprint
+            .iter()
+            .flat_map(|&link| self.occupancy.flows(link));
+        for &id in started.iter().chain(listed) {
+            let flow = self.flows[id].as_mut().expect("listed flows are live");
+            if flow.round != self.reprice_round {
+                flow.round = self.reprice_round;
+                affected.push(id);
+            }
+        }
+        affected.sort_unstable();
+        self.flows_repriced += affected.len();
+        for &id in &affected {
+            let flow = self.flows[id].as_mut().expect("listed flows are live");
+            let rate = 1.0 / self.occupancy.congestion(flow.footprint) as f64;
             if rate == flow.rate {
                 continue;
             }
             flow.rate = rate;
             flow.epoch += 1;
-            updates.push((id, self.now + flow.remaining_s / rate, flow.epoch));
+            self.queue.push(
+                self.now + flow.remaining_s / rate,
+                Ev::FlowEnd {
+                    id,
+                    epoch: flow.epoch,
+                },
+            );
         }
-        for (id, at, epoch) in updates {
-            self.queue.push(at, Ev::FlowEnd { id, epoch });
-        }
+        self.affected = affected;
     }
 
     fn on_flow_end(&mut self, id: usize, epoch: u64) {
@@ -852,8 +905,9 @@ impl<'a> Run<'a> {
         }
         let flow = self.flows[id].take().expect("flow checked active");
         if self.config.contention {
-            self.occupancy.release(&flow.footprint);
-            self.reprice_flows();
+            self.occupancy.release(id, flow.footprint);
+            self.active.retain(|&f| f != id);
+            self.reprice_sharing(flow.footprint, None);
         }
         match flow.label {
             FlowLabel::Transmission { from, to } => {
@@ -900,7 +954,7 @@ impl<'a> Run<'a> {
             Stage::Compute => {
                 completed_waves = self.wave;
                 let elapsed = self.now - self.wave_start;
-                let wave = &self.localized.plan().waves()[self.wave];
+                let wave = &self.plan.waves()[self.wave];
                 for &(idx, scheduled_end) in &self.inflight {
                     let group = wave.entries[idx]
                         .placement
@@ -926,7 +980,7 @@ impl<'a> Run<'a> {
                 self.comm_s += self.now - self.stage_start;
             }
             Stage::Sync => {
-                completed_waves = self.localized.plan().num_waves();
+                completed_waves = self.plan.num_waves();
                 self.sync_s += self.now - self.stage_start;
             }
         }
@@ -967,6 +1021,7 @@ impl<'a> Run<'a> {
             event_log: self.log,
             flows_executed: self.flows_executed,
             syncs_executed: self.syncs_executed,
+            flows_repriced: self.flows_repriced,
         }
     }
 }
